@@ -71,7 +71,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 		tenantRate:  fs.Float64("tenant-rate", 0, "per-tenant token refill rate in requests/sec; 0 disables tenant budgets"),
 		tenantBurst: fs.Float64("tenant-burst", 10, "per-tenant token bucket capacity"),
 		exactMaxN:   fs.Int("exact-max-n", 0, "largest host (nodes) exact-mode rescoring is allowed on (0 = 200000)"),
-		cacheSize:   fs.Int("cache", 0, "coalescer result-cache entries (0 = 4096)"),
+		cacheSize:   fs.Int("cache", 0, "promotion-answer cache entries (0 = 4096)"),
 		drain:       fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget for in-flight requests"),
 		obs:         obs.RegisterObsFlags(fs),
 	}

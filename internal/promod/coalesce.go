@@ -8,12 +8,14 @@ import (
 	"promonet/internal/obs"
 )
 
-// coalescer is the daemon's single-flight layer: concurrent requests for
-// the same (snapshot-version, family, key) computation share one
-// execution, and completed results live in a bounded FIFO cache keyed by
-// the same string. Keys embed the pinned snapshot's version ("v17|…"),
-// so a result can never be served against the wrong host; a swap prunes
-// every superseded version's entries.
+// coalescer is the daemon's single-flight cache of promotion answers:
+// concurrent requests for the same answer share one execution, and
+// completed answers live in a bounded FIFO cache keyed by the same
+// string. Keys embed the pinned snapshot's version ("v17|…"), so an
+// answer can never be served against the wrong host; a swap prunes
+// every superseded version's entries. Per-snapshot state (rank indexes,
+// manifests, farness) is not cached here but on the snapshotState, so
+// answer churn never evicts it.
 //
 // This is what turns "thousands of clients ask about the same few
 // popular targets" from thousands of engine batches into one: the first
@@ -24,6 +26,7 @@ type coalescer struct {
 	flights   map[string]*flight
 	cache     map[string]any
 	order     []string // FIFO eviction order of cache keys
+	live      string   // version prefix of the installed snapshot; "" admits all
 	max       int
 	coalesced *obs.Counter
 }
@@ -85,9 +88,11 @@ func (c *coalescer) do(key string, compute func() (any, error)) (any, error) {
 }
 
 // insertLocked adds a completed result under c.mu, evicting the oldest
-// entry when full.
+// entry when full. A result for a superseded snapshot (its leader
+// finished after the swap's prune) is not kept; its leader and followers
+// still receive it.
 func (c *coalescer) insertLocked(key string, val any) {
-	if _, ok := c.cache[key]; ok {
+	if _, ok := c.cache[key]; ok || !strings.HasPrefix(key, c.live) {
 		return
 	}
 	for len(c.cache) >= c.max && len(c.order) > 0 {
@@ -99,17 +104,18 @@ func (c *coalescer) insertLocked(key string, val any) {
 	c.order = append(c.order, key)
 }
 
-// prune drops every cached result except the given snapshot version's.
-// Called from the swap path: requests still in flight on an old snapshot
-// recompute on miss (correct, just uncached), while the new snapshot
-// starts with the full cache budget.
+// prune drops every cached result except the given snapshot version's,
+// and from then on caches only that version's results. Called from the
+// swap path: requests still in flight on an old snapshot recompute on
+// miss (correct, just uncached), while the new snapshot starts with the
+// full cache budget.
 func (c *coalescer) prune(keepVersion uint64) {
-	prefix := versionPrefix(keepVersion)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.live = versionPrefix(keepVersion)
 	kept := c.order[:0]
 	for _, k := range c.order {
-		if strings.HasPrefix(k, prefix) {
+		if strings.HasPrefix(k, c.live) {
 			kept = append(kept, k)
 		} else {
 			delete(c.cache, k)

@@ -85,3 +85,39 @@ func TestCoalescerEvictionAndPrune(t *testing.T) {
 		t.Error("prune dropped the current version's entry")
 	}
 }
+
+// TestCoalescerSupersededFlightNotCached: a leader pinned to an old
+// snapshot that finishes after the swap's prune must not leave its entry
+// behind, yet it and its followers still get the value.
+func TestCoalescerSupersededFlightNotCached(t *testing.T) {
+	c := newCoalescer(16, obs.NewCounter())
+	c.prune(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	vals := make(chan any, 2)
+	go func() {
+		v, _ := c.do("v1|promote|x", func() (any, error) {
+			close(started)
+			<-release
+			return "old", nil
+		})
+		vals <- v
+	}()
+	<-started
+	go func() {
+		v, _ := c.do("v1|promote|x", func() (any, error) { return "recomputed", nil })
+		vals <- v
+	}()
+	for c.coalesced.Value() == 0 { // wait until the follower has joined the flight
+		time.Sleep(time.Millisecond)
+	}
+	c.prune(2)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if v := <-vals; v != "old" {
+			t.Errorf("caller %d got %v, want the flight's value", i, v)
+		}
+	}
+	if c.size() != 0 {
+		t.Errorf("after a v1| flight finished past prune(2): size = %d, want 0", c.size())
+	}
+}

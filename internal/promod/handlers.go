@@ -103,7 +103,8 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // promote answers one promotion query on the pinned snapshot. The whole
 // response is coalesced per (version, measure, target, size, type,
-// exact), so a burst of identical queries costs one computation.
+// exact), so a burst of identical queries costs one computation; the
+// per-snapshot state it reads lives on st, not in the answer cache.
 func (s *Server) promote(st *snapshotState, req *PromoteRequest) (*PromoteResponse, int, error) {
 	spec, err := measureSpecByName(req.Measure)
 	if err != nil {
@@ -155,14 +156,11 @@ func (s *Server) promote(st *snapshotState, req *PromoteRequest) (*PromoteRespon
 
 // buildPromoteResponse is the cache-miss path of promote.
 func (s *Server) buildPromoteResponse(st *snapshotState, spec measureSpec, strat core.Strategy, label int64, exact bool) (*PromoteResponse, error) {
-	ri, err := s.rankIndexFor(st, spec)
+	ri, man, err := st.serving(spec)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := s.predictWith(st, spec, strat, ri)
-	if err != nil {
-		return nil, err
-	}
+	pr := predictWith(st, spec, strat, ri)
 	resp := &PromoteResponse{
 		Target:         label,
 		Measure:        spec.name,
@@ -177,6 +175,7 @@ func (s *Server) buildPromoteResponse(st *snapshotState, spec measureSpec, strat
 		PredictedDelta: pr.delta,
 		Mode:           pr.mode,
 		Snapshot:       st.info(),
+		Manifest:       man,
 	}
 	if !math.IsNaN(pr.predictedScore) {
 		ps := pr.predictedScore
@@ -194,11 +193,6 @@ func (s *Server) buildPromoteResponse(st *snapshotState, spec measureSpec, strat
 		sa := eo.ScoreAfter
 		resp.PredictedScore = &sa
 	}
-	man := st.manifest(spec.name)
-	if _, err := man.Encode(); err != nil { // Encode validates; a response never carries an invalid manifest
-		return nil, err
-	}
-	resp.Manifest = man
 	return resp, nil
 }
 
@@ -226,7 +220,7 @@ func (s *Server) handleScores(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.state.Load()
-	ri, err := s.rankIndexFor(st, spec)
+	ri, _, err := st.serving(spec)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

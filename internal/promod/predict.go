@@ -20,6 +20,7 @@ type measureSpec struct {
 	em   engine.Measure
 	cm   core.Measure // principle + guided strategy + short name
 	kind predictKind
+	ord  int // index in servable, selecting the per-snapshot slot
 }
 
 // predictKind selects the closed-form prediction rule for a measure.
@@ -46,6 +47,23 @@ const (
 	predictEccentricity
 )
 
+// servable lists the measures the daemon serves, with their engine
+// kernels and prediction rules. A measure's index is its ordinal, which
+// picks its slot in snapshotState.measures.
+var servable = [...]struct {
+	name string
+	em   engine.Measure
+	kind predictKind
+}{
+	{"betweenness", engine.Betweenness(centrality.PairsUnordered), predictBetweenness},
+	{"coreness", engine.Coreness(), predictCoreness},
+	{"closeness", engine.Closeness(), predictCloseness},
+	{"eccentricity", engine.Eccentricity(), predictEccentricity},
+	{"degree", engine.Degree(), predictDegree},
+	{"harmonic", engine.Harmonic(), predictNone},
+	{"katz", engine.Katz(), predictNone},
+}
+
 // measureSpecByName resolves a long or short measure name to its
 // serving spec, rejecting measures with no engine kernel.
 func measureSpecByName(name string) (measureSpec, error) {
@@ -53,26 +71,12 @@ func measureSpecByName(name string) (measureSpec, error) {
 	if err != nil {
 		return measureSpec{}, err
 	}
-	spec := measureSpec{name: cm.Name(), cm: cm}
-	switch cm.Name() {
-	case "betweenness":
-		spec.em, spec.kind = engine.Betweenness(centrality.PairsUnordered), predictBetweenness
-	case "coreness":
-		spec.em, spec.kind = engine.Coreness(), predictCoreness
-	case "closeness":
-		spec.em, spec.kind = engine.Closeness(), predictCloseness
-	case "eccentricity":
-		spec.em, spec.kind = engine.Eccentricity(), predictEccentricity
-	case "degree":
-		spec.em, spec.kind = engine.Degree(), predictDegree
-	case "harmonic":
-		spec.em, spec.kind = engine.Harmonic(), predictNone
-	case "katz":
-		spec.em, spec.kind = engine.Katz(), predictNone
-	default:
-		return measureSpec{}, fmt.Errorf("promod: measure %q has no serving kernel", cm.Name())
+	for ord, sv := range &servable {
+		if sv.name == cm.Name() {
+			return measureSpec{name: sv.name, em: sv.em, cm: cm, kind: sv.kind, ord: ord}, nil
+		}
 	}
-	return spec, nil
+	return measureSpec{}, fmt.Errorf("promod: measure %q has no serving kernel", cm.Name())
 }
 
 // strategyTypeByName parses a strategy-override string.
@@ -91,8 +95,7 @@ func strategyTypeByName(name string) (core.StrategyType, error) {
 
 // rankIndex is a score vector plus its descending sort, giving O(log n)
 // competition ranks and overtake counts and O(k) top-k listings. Built
-// once per (snapshot, measure) and shared by every request through the
-// coalescer.
+// once per (snapshot, measure) and kept in the snapshot's measure slot.
 type rankIndex struct {
 	scores []float64 // by node ID
 	order  []int32   // node IDs by descending score, ties ascending ID
@@ -141,71 +144,9 @@ func (ri *rankIndex) minAbove(s float64) (float64, bool) {
 	return ri.sorted[cnt-1], true
 }
 
-// versionPrefix is the coalescer key prefix pinning a result to one
+// versionPrefix is the coalescer key prefix pinning an answer to one
 // snapshot version.
 func versionPrefix(version uint64) string { return fmt.Sprintf("v%d|", version) }
-
-// scoresFor returns the measure's base score vector on the pinned
-// snapshot, computed once per (version, measure) across all requests.
-func (s *Server) scoresFor(st *snapshotState, spec measureSpec) ([]float64, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"scores|"+spec.em.Key(), func() (any, error) {
-		return s.eng.Scores(st.view, spec.em), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]float64), nil
-}
-
-// rankIndexFor returns the measure's rank index on the pinned snapshot.
-func (s *Server) rankIndexFor(st *snapshotState, spec measureSpec) (*rankIndex, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"rank|"+spec.em.Key(), func() (any, error) {
-		scores, err := s.scoresFor(st, spec)
-		if err != nil {
-			return nil, err
-		}
-		return buildRankIndex(scores), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*rankIndex), nil
-}
-
-// farnessFor returns the integer farness vector (closeness bounds work
-// in farness space).
-func (s *Server) farnessFor(st *snapshotState) ([]int64, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"farness", func() (any, error) {
-		return s.eng.FarnessInt64(st.view), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int64), nil
-}
-
-// recipEccFor returns the reciprocal-eccentricity vector ĒC (max BFS
-// distance per node).
-func (s *Server) recipEccFor(st *snapshotState) ([]float64, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"recip-ecc", func() (any, error) {
-		return s.eng.Scores(st.view, engine.ReciprocalEccentricity()), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]float64), nil
-}
-
-// distancesFor returns BFS hop distances from t on the pinned snapshot.
-func (s *Server) distancesFor(st *snapshotState, t int) ([]int32, error) {
-	v, err := s.coal.do(fmt.Sprintf("%sdist|%d", versionPrefix(st.version), t), func() (any, error) {
-		return centrality.Distances(st.view, t), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int32), nil
-}
 
 // prediction is the outcome of the closed-form rules for one strategy.
 type prediction struct {
@@ -235,7 +176,7 @@ func sizeFromBound(bound float64) int {
 // under ModeNone no prediction applies (the caller reports base standing
 // only). Guided means strat.Type matches Table I for the measure —
 // overridden strategies void the lemma.
-func (s *Server) predictWith(st *snapshotState, spec measureSpec, strat core.Strategy, ri *rankIndex) (prediction, error) {
+func predictWith(st *snapshotState, spec measureSpec, strat core.Strategy, ri *rankIndex) prediction {
 	t, p := strat.Target, strat.Size
 	sT := ri.scores[t]
 	rankBefore := ri.rankOf(t)
@@ -300,14 +241,9 @@ func (s *Server) predictWith(st *snapshotState, spec measureSpec, strat core.Str
 		if !guided {
 			break
 		}
-		far, err := s.farnessFor(st)
-		if err != nil {
-			return pr, err
-		}
-		dist, err := s.distancesFor(st, t)
-		if err != nil {
-			return pr, err
-		}
+		// The distances are used for this one answer and not kept: the
+		// answer itself is what the coalescer caches.
+		far, dist := st.farness(), centrality.Distances(st.view, t)
 		over := 0
 		best := math.Inf(1)
 		for v := range far {
@@ -331,10 +267,7 @@ func (s *Server) predictWith(st *snapshotState, spec measureSpec, strat core.Str
 		if !guided {
 			break
 		}
-		recip, err := s.recipEccFor(st)
-		if err != nil {
-			return pr, err
-		}
+		recip := st.recipEcc()
 		hasHigher := false
 		for v := range recip {
 			if recip[v] < recip[t] && recip[v] > 0 {
@@ -356,50 +289,41 @@ func (s *Server) predictWith(st *snapshotState, spec measureSpec, strat core.Str
 			pr.predictedRank = 1
 		}
 	}
-	return pr, nil
+	return pr
 }
 
 // exactOutcome applies the strategy to a private copy of the pinned
 // host and rescoring it with the engine — the measured ground truth the
 // predictions bound. On the csr backend the copy is a csr.Overlay (a
 // few touched rows, not a host clone); on the map backend it is a full
-// materialized clone.
+// materialized clone. It runs only inside the exact promote flight,
+// which already single-flights and caches the answer.
 func (s *Server) exactOutcome(st *snapshotState, spec measureSpec, strat core.Strategy, ri *rankIndex) (*ExactOutcome, error) {
-	key := fmt.Sprintf("%sexact|%s|%d|%d|%d", versionPrefix(st.version), spec.em.Key(), strat.Target, strat.Size, int(strat.Type))
-	v, err := s.coal.do(key, func() (any, error) {
-		var after []float64
-		var inserted []int
-		var applyErr error
-		if st.snap != nil {
-			ov := csr.NewOverlay(st.snap)
-			inserted, applyErr = strat.ApplyTo(ov)
-			if applyErr == nil {
-				after = s.eng.Scores(ov, spec.em)
-			}
-		} else {
-			g2 := graph.Materialize(st.g)
-			inserted, applyErr = strat.ApplyTo(g2)
-			if applyErr == nil {
-				after = s.eng.Scores(g2, spec.em)
-			}
+	var after []float64
+	var inserted []int
+	var err error
+	if st.snap != nil {
+		ov := csr.NewOverlay(st.snap)
+		if inserted, err = strat.ApplyTo(ov); err == nil {
+			after = s.eng.Scores(ov, spec.em)
 		}
-		if applyErr != nil {
-			return nil, applyErr
+	} else {
+		g2 := graph.Materialize(st.g)
+		if inserted, err = strat.ApplyTo(g2); err == nil {
+			after = s.eng.Scores(g2, spec.em)
 		}
-		rankBefore := ri.rankOf(strat.Target)
-		rankAfter := centrality.RankOf(after, strat.Target)
-		delta := rankBefore - rankAfter
-		return &ExactOutcome{
-			ScoreAfter: after[strat.Target],
-			RankAfter:  rankAfter,
-			DeltaRank:  delta,
-			Ratio:      centrality.Ratio(delta, st.n),
-			Effective:  delta > 0,
-			Inserted:   len(inserted),
-		}, nil
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
-	return v.(*ExactOutcome), nil
+	rankAfter := centrality.RankOf(after, strat.Target)
+	delta := ri.rankOf(strat.Target) - rankAfter
+	return &ExactOutcome{
+		ScoreAfter: after[strat.Target],
+		RankAfter:  rankAfter,
+		DeltaRank:  delta,
+		Ratio:      centrality.Ratio(delta, st.n),
+		Effective:  delta > 0,
+		Inserted:   len(inserted),
+	}, nil
 }

@@ -11,17 +11,18 @@
 //	            shedding 429 + Retry-After under backpressure)
 //	→ snapshot pin (one atomic load; the request computes against that
 //	                snapshot even if a reload swaps a new one in)
-//	→ coalescing (single-flight per (snapshot-version, family, key):
-//	              concurrent identical queries share one engine batch,
-//	              completed ones are served from a bounded cache)
+//	→ coalescing (single-flight per (snapshot-version, answer key):
+//	              concurrent identical queries share one computation,
+//	              completed answers are served from a bounded cache)
 //	→ response (strategy, p, p′ guaranteed size, predicted rank delta,
 //	            and a self-validating obs.Manifest carrying the pinned
 //	            snapshot's digest)
 //
 // Promotion answers are predicted from the paper's closed-form p′
-// bounds (Lemmas 5.3–5.12) over the memoized base score vectors, so the
-// steady-state cost of a query is a cache lookup — that is what makes
-// thousands of requests per second against a 10⁶-node host feasible.
+// bounds (Lemmas 5.3–5.12) over per-snapshot rank indexes, built once
+// per (snapshot, measure) and kept on the snapshot, so a query costs a
+// binary search or one BFS — that is what makes thousands of requests
+// per second against a 10⁶-node host feasible.
 // Exact rescoring (apply the strategy on a csr.Overlay, re-run the
 // engine) is available behind "exact": true, guarded by a host-size
 // limit so one request cannot monopolize the daemon.
@@ -144,7 +145,7 @@ type Config struct {
 	// Engine is the execution engine queries score through; nil means
 	// engine.Default().
 	Engine *engine.Engine
-	// CacheEntries bounds the coalescer's completed-result cache; 0
+	// CacheEntries bounds the coalescer's promotion-answer cache; 0
 	// means 4096 entries.
 	CacheEntries int
 }
@@ -228,9 +229,10 @@ func (s *Server) Reload() (SnapshotInfo, error) {
 	sp.Int("m", st.m)
 	sp.Int64("seq", int64(st.seq))
 	s.state.Store(st)
-	// Drop cached results of superseded snapshots; in-flight requests
+	// Drop cached answers of superseded snapshots; in-flight requests
 	// pinned to an old snapshot recompute on miss, which is correct,
-	// just no longer cached.
+	// just no longer cached. The old state's rank indexes and manifests
+	// go with it once no request pins it.
 	s.coal.prune(st.version)
 	s.mSwaps.Inc()
 	return st.info(), nil

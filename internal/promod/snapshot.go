@@ -1,10 +1,12 @@
 package promod
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"promonet/internal/engine"
 	"promonet/internal/graph"
 	"promonet/internal/graph/csr"
 	"promonet/internal/obs"
@@ -12,14 +14,19 @@ import (
 
 // snapshotState is one installed host snapshot plus everything a request
 // derives from it: the serving view, the label↔ID mapping, and the
-// lazily memoized content digest. States are immutable after buildState
-// returns; the swap protocol only ever replaces the whole pointer, so a
-// request that loaded the pointer once computes against a consistent
-// host no matter how many reloads land while it runs.
+// lazily memoized digest, per-measure rank indexes and manifests,
+// farness and ĒC vectors. Each lazy value is built once on first use
+// and lives exactly as long as the state: no answer-cache churn evicts
+// it, and it is garbage-collected with the state once no request pins
+// it. The host is immutable after buildState returns; the swap protocol
+// only ever replaces the whole pointer, so a request that loaded the
+// pointer once computes against a consistent host no matter how many
+// reloads land while it runs.
 type snapshotState struct {
 	view    graph.View
 	snap    *csr.Snapshot // non-nil on the csr backend
 	g       *graph.Graph  // non-nil on the map backend
+	eng     *engine.Engine
 	labels  []int64       // ID → label; nil means identity
 	index   map[int64]int // label → ID; nil means identity
 	name    string
@@ -31,6 +38,20 @@ type snapshotState struct {
 
 	digestOnce sync.Once
 	digest     string
+
+	measures [len(servable)]measureSlot // by measureSpec.ord
+	farOnce  sync.Once
+	far      []int64
+	eccOnce  sync.Once
+	ecc      []float64
+}
+
+// measureSlot is one measure's serving state on one snapshot.
+type measureSlot struct {
+	once sync.Once
+	ri   *rankIndex
+	man  *obs.Manifest // response manifest, validated by Encode
+	err  error
 }
 
 // buildState freezes (or adopts) a freshly loaded host into serving
@@ -41,6 +62,7 @@ func (s *Server) buildState(g *graph.Graph, labels []int64) (*snapshotState, err
 		return nil, fmt.Errorf("promod: source returned %d labels for %d nodes", len(labels), g.N())
 	}
 	st := &snapshotState{
+		eng:    s.eng,
 		labels: labels,
 		name:   s.cfg.Source.Name,
 		n:      g.N(),
@@ -81,6 +103,37 @@ func (st *snapshotState) Digest() string {
 		}
 	})
 	return st.digest
+}
+
+// serving returns spec's rank index and validated response manifest on
+// this snapshot. The manifest is a pure function of (snapshot, measure),
+// so every answer for the measure shares it.
+func (st *snapshotState) serving(spec measureSpec) (*rankIndex, *obs.Manifest, error) {
+	sl := &st.measures[spec.ord]
+	sl.once.Do(func() {
+		sl.err = errors.New("promod: serving-state build aborted") // kept if the build panics
+		man := st.manifest(spec.name)
+		if _, err := man.Encode(); err != nil {
+			sl.err = err
+			return
+		}
+		sl.ri, sl.man, sl.err = buildRankIndex(st.eng.Scores(st.view, spec.em)), man, nil
+	})
+	return sl.ri, sl.man, sl.err
+}
+
+// farness returns the integer farness vector (closeness bounds work in
+// farness space).
+func (st *snapshotState) farness() []int64 {
+	st.farOnce.Do(func() { st.far = st.eng.FarnessInt64(st.view) })
+	return st.far
+}
+
+// recipEcc returns the reciprocal-eccentricity vector ĒC (max BFS
+// distance per node).
+func (st *snapshotState) recipEcc() []float64 {
+	st.eccOnce.Do(func() { st.ecc = st.eng.Scores(st.view, engine.ReciprocalEccentricity()) })
+	return st.ecc
 }
 
 // nodeOf resolves an external label to a node ID on this snapshot.

@@ -72,14 +72,22 @@ if ! echo "$bench_out" | grep -q '\b0 allocs/op'; then
     exit 1
 fi
 
-step "promod snapshot-swap race suite (go test -race TestConcurrentSnapshotSwap)"
+step "promod snapshot-swap and pinned-state race suite (go test -race)"
 # The swap protocol's whole contract — every admitted request is served
 # from exactly one pinned snapshot, reloads never tear a view or drop an
-# in-flight request — only fails under concurrency, so this test runs
-# under the race detector even in quick mode (the full -race pass below
-# covers it too, but attributing a failure to the swap protocol directly
-# is worth the few extra seconds).
-go test -race -run 'TestConcurrentSnapshotSwap' ./internal/promod
+# in-flight request — and the per-snapshot serving state (built once,
+# never rebuilt by answer-cache churn, fresh on every reload) only fail
+# under concurrency, so these tests run under the race detector even in
+# quick mode (the full -race pass below covers them too, but attributing
+# a failure to the swap protocol directly is worth the few extra
+# seconds).
+go test -race -run 'TestConcurrentSnapshotSwap|TestRankIndexSurvivesCacheChurn|TestServingStateFreshAfterReload' ./internal/promod
+
+step "benchmark module tests (cd bench && go test ./...)"
+# bench/ is a module of its own, so the root go test never reaches it.
+# Its toy-scale end-to-end runs validate every promod answer, so a
+# serving change that breaks an answer fails here.
+(cd bench && go test ./...)
 
 if [[ "${1:-}" == "quick" ]]; then
     step "go test ./... (quick mode: no -race, no promodebug pass)"
