@@ -16,9 +16,10 @@
 // graph.View adjacency arrays, goroutine termination and WaitGroup
 // join discipline, and CSR snapshot/overlay aliasing safety.
 //
-// Packages fan out over a bounded worker pool (-workers, default
-// GOMAXPROCS); findings and the JSON report are byte-identical at any
-// worker count.
+// Module packages are parsed and type-checked from source; stdlib
+// packages are read from compiler export data, which the toolchain's
+// `go list -export` locates (and builds into the build cache on first
+// use), so promolint needs the go command installed alongside it.
 //
 // Usage:
 //
@@ -27,21 +28,17 @@
 //	promolint ./...                    # the whole module (default)
 //	promolint ./internal/centrality    # one package
 //	promolint -analyzers determinism ./internal/exp/...
-//	promolint -disable exported-docs ./...
-//	promolint -json -baseline lint-baseline.json ./...
-//	promolint -workers 1 ./...         # serial run (reference ordering)
-//	promolint -timings ./...           # per-analyzer wall/cpu table on stderr
+//	promolint -json ./...              # JSON report on stdout
 //	promolint -list                    # describe the analyzers
 //
 // Findings go to stdout (one per line as file:line:col: [analyzer]
 // message, or a JSON report with -json); run summaries and errors go to
 // stderr. promolint exits 0 when the tree is clean or has only
-// warn-severity findings, 1 when it has error-severity findings or the
-// baseline has stale entries, and 2 on usage or load errors. Findings
-// are suppressed with an annotation comment //promolint:allow
-// <analyzer> -- reason on the flagged line, the line above it, or in
-// the enclosing function's doc comment; whole accepted findings are
-// suppressed by listing them in the -baseline file.
+// warn-severity findings, 1 when it has error-severity findings, and 2
+// on usage or load errors (an unparseable file, a type error, a module
+// import cycle). The only way to suppress a finding is an annotation
+// comment //promolint:allow <analyzer> -- reason on the flagged line,
+// the line above it, or in the enclosing function's doc comment.
 package main
 
 import (
@@ -52,7 +49,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"promonet/internal/lint"
 )
@@ -74,16 +70,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	analyzers := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON report on stdout")
-	baseline := fs.String("baseline", "", "baseline file of accepted findings; stale entries are errors")
-	workers := fs.Int("workers", 0, "package-level parallelism (0 = GOMAXPROCS, 1 = serial)")
-	showTimings := fs.Bool("timings", false, "print the per-analyzer wall/cpu timing table on stderr")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *workers < 0 {
-		fmt.Fprintln(stderr, "promolint: -workers must be >= 0")
 		return 2
 	}
 
@@ -99,40 +87,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "promolint:", err)
 		return 2
 	}
-	var cfg lint.Config
-	cfg.Enable = splitNames(*analyzers)
-	cfg.Disable = splitNames(*disable)
-	cfg.Workers = *workers
-	diags, timings, err := lint.RunTimed(root, fs.Args(), cfg)
+	cfg := lint.Config{Enable: splitNames(*analyzers)}
+	selected, err := cfg.Selected()
 	if err != nil {
 		fmt.Fprintln(stderr, "promolint:", err)
 		return 2
 	}
-	if *showTimings {
-		fmt.Fprintf(stderr, "%-20s %12s %12s\n", "analyzer", "wall", "cpu")
-		for _, tm := range timings {
-			fmt.Fprintf(stderr, "%-20s %12s %12s\n", tm.Analyzer,
-				time.Duration(tm.WallNanos).Round(time.Microsecond),
-				time.Duration(tm.CPUNanos).Round(time.Microsecond))
-		}
-	}
-
-	var stale []lint.BaselineEntry
-	if *baseline != "" {
-		b, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "promolint:", err)
-			return 2
-		}
-		diags, stale = b.Apply(root, diags)
+	diags, err := lint.Run(root, fs.Args(), cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, "promolint:", err)
+		return 2
 	}
 
 	if *jsonOut {
-		report := lint.NewReport(root, ranAnalyzers(cfg), diags, stale)
-		report.Timings = timings
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
+		if err := enc.Encode(lint.NewReport(root, selected, diags)); err != nil {
 			fmt.Fprintln(stderr, "promolint:", err)
 			return 2
 		}
@@ -150,36 +120,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			errs++
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "promolint: stale baseline entry: %s [%s] %s\n", e.File, e.Analyzer, e.Message)
+	if errs > 0 || warns > 0 {
+		fmt.Fprintf(stderr, "promolint: %d error(s), %d warning(s)\n", errs, warns)
 	}
-	if errs > 0 || warns > 0 || len(stale) > 0 {
-		fmt.Fprintf(stderr, "promolint: %d error(s), %d warning(s), %d stale baseline entr(ies)\n", errs, warns, len(stale))
-	}
-	if errs > 0 || len(stale) > 0 {
+	if errs > 0 {
 		return 1
 	}
 	return 0
-}
-
-// ranAnalyzers mirrors lint.Run's enable/disable selection for the
-// report header.
-func ranAnalyzers(cfg lint.Config) []*lint.Analyzer {
-	enabled := make(map[string]bool)
-	for _, n := range cfg.Enable {
-		enabled[n] = true
-	}
-	disabled := make(map[string]bool)
-	for _, n := range cfg.Disable {
-		disabled[n] = true
-	}
-	var out []*lint.Analyzer
-	for _, a := range lint.Analyzers() {
-		if (len(enabled) == 0 || enabled[a.Name]) && !disabled[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 func severityOf(a *lint.Analyzer) lint.Severity {

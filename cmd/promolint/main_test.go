@@ -95,3 +95,22 @@ func TestRunBadFlagExitsTwo(t *testing.T) {
 		t.Fatalf("run with a bad flag = exit %d, want 2", code)
 	}
 }
+
+// TestRunExitsTwoOnImportCycle: a module whose packages import each
+// other is a load error, exit 2 with the cycle named on stderr.
+func TestRunExitsTwoOnImportCycle(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module fixturemod\n\ngo 1.22\n",
+		"a/a.go": "package a\n\nimport \"fixturemod/b\"\n\n// A calls into b.\nfunc A() int { return b.B() }\n",
+		"b/b.go": "package b\n\nimport \"fixturemod/a\"\n\n// B calls into a.\nfunc B() int { return a.A() }\n",
+	})
+	chdir(t, root)
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("run on an import cycle = exit %d, want 2\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "import cycle: fixturemod/a -> fixturemod/b -> fixturemod/a") {
+		t.Errorf("stderr does not name the cycle: %q", stderr.String())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file grows the CFG layer into an SSA-lite value-flow layer:
@@ -405,27 +404,5 @@ func (r *ReachingDefs) At(use *ast.Ident) []*Def {
 			out = append(out, d)
 		}
 	}
-	return out
-}
-
-// DefsOf returns every definition site of obj, in source order.
-func (r *ReachingDefs) DefsOf(obj types.Object) []*Def {
-	ids := r.byObj[obj]
-	out := make([]*Def, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, r.Defs[id])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	return out
-}
-
-// TrackedUses returns every use occurrence with a recorded reach set,
-// in source order — the domain of At.
-func (r *ReachingDefs) TrackedUses() []*ast.Ident {
-	out := make([]*ast.Ident, 0, len(r.uses))
-	for id := range r.uses {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
 	return out
 }

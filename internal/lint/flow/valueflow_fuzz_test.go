@@ -76,7 +76,7 @@ func repoGoFiles(t testing.TB) []string {
 
 // FuzzCFGValueFlow drives arbitrary (possibly ill-typed) Go source
 // through the full value-flow stack — CFG construction, reaching
-// definitions, def-use inversion, allocation classification, escape
+// definitions, allocation classification, escape
 // classification — asserting that nothing panics, the fixpoint
 // terminates, and the solution is internally consistent: every
 // reaching def of a use is a def of that use's object.
@@ -111,8 +111,7 @@ func FuzzCFGValueFlow(f *testing.F) {
 				t.Fatalf("CFG shape broken: %d blocks", len(cfg.Blocks))
 			}
 			rd := NewReachingDefs(cfg, info, params, body)
-			du := NewDefUse(rd)
-			for _, use := range rd.TrackedUses() {
+			for _, use := range trackedUses(rd) {
 				obj := info.Uses[use]
 				for _, d := range rd.At(use) {
 					if d.Obj != obj {
@@ -120,9 +119,6 @@ func FuzzCFGValueFlow(f *testing.F) {
 							use.Name, fset.Position(use.Pos()), d.Obj.Name())
 					}
 				}
-			}
-			for _, d := range rd.Defs {
-				_ = du.Uses(d)
 			}
 			AllocSites(info, body)
 			Escapes(info, body)

@@ -3,6 +3,7 @@ package flow
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"testing"
 )
 
@@ -14,12 +15,23 @@ func rdFor(t *testing.T, src, fname string) (*ReachingDefs, *ast.FuncDecl, *type
 	return rd, fd, info
 }
 
+// trackedUses returns every use occurrence with a recorded reach set,
+// in source order — the domain of ReachingDefs.At.
+func trackedUses(r *ReachingDefs) []*ast.Ident {
+	out := make([]*ast.Ident, 0, len(r.uses))
+	for id := range r.uses {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
 // useIdent finds the n-th tracked-use occurrence (0-based) of name
 // inside fd — write-only LHS occurrences are not uses and don't count.
 func useIdent(t *testing.T, rd *ReachingDefs, name string, n int) *ast.Ident {
 	t.Helper()
 	count := 0
-	for _, id := range rd.TrackedUses() {
+	for _, id := range trackedUses(rd) {
 		if id.Name == name {
 			if count == n {
 				return id
@@ -132,36 +144,6 @@ func f(xs []int) int {
 	xsDefs := rd.At(xsUse)
 	if len(xsDefs) != 1 || !xsDefs[0].Entry {
 		t.Fatalf("xs use should see exactly the entry (parameter) def, got %+v", xsDefs)
-	}
-}
-
-func TestDefUseChains(t *testing.T) {
-	rd, _, info := rdFor(t, `package fixture
-func f(c bool) int {
-	x := 1
-	if c {
-		return x
-	}
-	x = 2
-	return x
-}
-`, "f")
-	du := NewDefUse(rd)
-	obj := info.Uses[useIdent(t, rd, "x", 0)]
-	defs := rd.DefsOf(obj)
-	if len(defs) != 2 {
-		t.Fatalf("x has %d defs, want 2", len(defs))
-	}
-	// The := def reaches only the first return; the = def only the
-	// second.
-	if got := len(du.Uses(defs[0])); got != 1 {
-		t.Errorf(":= def reaches %d uses, want 1", got)
-	}
-	if got := len(du.Uses(defs[1])); got != 1 {
-		t.Errorf("= def reaches %d uses, want 1", got)
-	}
-	if len(du.Dead()) != 0 {
-		t.Errorf("no def is dead here, got %d", len(du.Dead()))
 	}
 }
 

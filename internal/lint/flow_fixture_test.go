@@ -418,25 +418,6 @@ func runVersionStampOnly(t *testing.T, files map[string]string) []Diagnostic {
 	return diags
 }
 
-func TestDisableFilter(t *testing.T) {
-	root := writeFixture(t, fixtureFiles())
-	diags, err := Run(root, []string{"./..."}, Config{Disable: []string{"exported-docs"}})
-	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
-	}
-	for _, d := range diags {
-		if d.Analyzer == "exported-docs" {
-			t.Errorf("disabled analyzer still reported: %s", d)
-		}
-	}
-	if len(diags) == 0 {
-		t.Error("disabling one analyzer silenced everything")
-	}
-	if _, err := Run(root, nil, Config{Disable: []string{"no-such-analyzer"}}); err == nil {
-		t.Error("unknown analyzer in Disable should be an error")
-	}
-}
-
 func TestSeverities(t *testing.T) {
 	diags := runFixture(t, fixtureFiles())
 	for _, d := range diags {

@@ -7,8 +7,9 @@
 // The suite is built entirely on the standard library (go/ast,
 // go/parser, go/token, go/types, go/build): packages are parsed and
 // type-checked with a module-aware importer that resolves in-module
-// imports from source and stdlib imports through the source importer,
-// so no external package-loading dependency is needed.
+// imports from source and stdlib imports from compiler export data
+// (located with `go list -export`), so no external package-loading
+// dependency is needed.
 //
 // Findings can be suppressed where a rule is intentionally broken (for
 // example, the strategy-application code whose whole purpose is to
@@ -27,11 +28,8 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
 // Severity ranks a finding. Errors gate CI; warnings are advisory and
@@ -106,19 +104,32 @@ func Analyzers() []*Analyzer {
 type Config struct {
 	// Enable lists analyzer names to run; empty means all.
 	Enable []string
-	// Disable lists analyzer names to skip; applied after Enable.
-	Disable []string
-	// Workers bounds the package-level fan-out; 0 means GOMAXPROCS, 1
-	// runs fully serial. Findings and report bytes are identical at any
-	// worker count — only wall time changes.
-	Workers int
 }
 
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
+// Selected returns the analyzers cfg enables, in suite order, or an
+// error naming the first unknown analyzer.
+func (c Config) Selected() ([]*Analyzer, error) {
+	all := Analyzers()
+	if len(c.Enable) == 0 {
+		return all, nil
 	}
-	return runtime.GOMAXPROCS(0)
+	enabled := make(map[string]bool)
+	for _, name := range c.Enable {
+		enabled[name] = true
+	}
+	var out []*Analyzer
+	for _, a := range all {
+		if enabled[a.Name] {
+			out = append(out, a)
+			delete(enabled, a.Name)
+		}
+	}
+	for _, name := range c.Enable {
+		if enabled[name] {
+			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
+		}
+	}
+	return out, nil
 }
 
 // Pass carries one (analyzer, package) unit of work.
@@ -165,128 +176,42 @@ func (p *Pass) ReportSevf(sev Severity, pos token.Pos, format string, args ...in
 // the debug build too; findings from files shared by both passes are
 // deduplicated.
 func Run(moduleRoot string, patterns []string, cfg Config) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(moduleRoot, patterns, cfg)
-	return diags, err
-}
-
-// AnalyzerTiming is the cost of one analyzer across every package and
-// both build-tag passes of a run. WallNanos is latest-finish minus
-// earliest-start (what the user waits for under the parallel driver);
-// CPUNanos is the per-run durations summed across packages, the
-// worker-count-independent cost CI watches for regressions.
-type AnalyzerTiming struct {
-	Analyzer  string `json:"analyzer"`
-	WallNanos int64  `json:"wall_nanos"`
-	CPUNanos  int64  `json:"cpu_nanos"`
-}
-
-// lintUnit is one (build-tag pass, package) cell of a run: the work a
-// single worker claims, and the bucket its results land in until the
-// deterministic merge.
-type lintUnit struct {
-	loader *loader
-	path   string
-	pass   int // 0 = default tags, 1 = promodebug
-
-	diags  []Diagnostic
-	err    error
-	starts []time.Time // per analyzer index; zero if the unit was skipped
-	durs   []time.Duration
-}
-
-// RunTimed is Run plus per-analyzer timings, in suite order — the
-// -json report carries them so CI can watch the suite's cost.
-//
-// Packages fan out over cfg.Workers goroutines (the loader coalesces
-// shared dependencies behind futures), but findings are merged and
-// deduplicated in the fixed (pass, sorted path) unit order and then
-// position-sorted, so the output is byte-identical at any worker count.
-func RunTimed(moduleRoot string, patterns []string, cfg Config) ([]Diagnostic, []AnalyzerTiming, error) {
-	for _, name := range append(append([]string{}, cfg.Enable...), cfg.Disable...) {
-		if !hasAnalyzer(name) {
-			return nil, nil, fmt.Errorf("lint: unknown analyzer %q", name)
-		}
-	}
-	enabled := make(map[string]bool)
-	for _, name := range cfg.Enable {
-		enabled[name] = true
-	}
-	disabled := make(map[string]bool)
-	for _, name := range cfg.Disable {
-		disabled[name] = true
-	}
-	var analyzers []*Analyzer
-	for _, a := range Analyzers() {
-		if (len(enabled) == 0 || enabled[a.Name]) && !disabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
+	analyzers, err := cfg.Selected()
+	if err != nil {
+		return nil, err
 	}
 
-	// Every package is analyzed under two build configurations — the
-	// default one and again with the promodebug tag — so invariants
-	// hold in the debug build too.
-	var units []*lintUnit
+	var diags []Diagnostic
+	seen := make(map[Diagnostic]bool)
 	for pass, tags := range [][]string{nil, {"promodebug"}} {
 		l, err := newLoader(moduleRoot, tags...)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		paths, err := resolvePatterns(l, moduleRoot, patterns)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, path := range paths {
-			units = append(units, &lintUnit{loader: l, path: path, pass: pass})
-		}
-	}
-
-	jobs := make(chan *lintUnit)
-	workers := cfg.workers()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for u := range jobs {
-				runUnit(u, analyzers)
+			pkg, err := l.load(path)
+			if err != nil {
+				// A package that only exists under the other tag set is
+				// not an error on the promodebug pass.
+				if pass > 0 && errors.Is(err, errNoGoFiles) {
+					continue
+				}
+				return nil, err
 			}
-		}()
-	}
-	for _, u := range units {
-		jobs <- u
-	}
-	close(jobs)
-	wg.Wait()
-
-	var diags []Diagnostic
-	seen := make(map[string]bool)
-	wallFrom := make(map[string]time.Time)
-	wallTo := make(map[string]time.Time)
-	cpu := make(map[string]time.Duration)
-	for _, u := range units {
-		if u.err != nil {
-			// A package that only exists under the other tag set is not
-			// an error on the promodebug pass.
-			if u.pass > 0 && errors.Is(u.err, errNoGoFiles) {
-				continue
+			var found []Diagnostic
+			supp := buildSuppressionIndex(l.fset, pkg.Files)
+			for _, a := range analyzers {
+				a.Run(&Pass{Fset: l.fset, Pkg: pkg, analyzer: a, suppress: supp, out: &found})
 			}
-			return nil, nil, u.err
-		}
-		for i, a := range analyzers {
-			from, to := u.starts[i], u.starts[i].Add(u.durs[i])
-			if first, ok := wallFrom[a.Name]; !ok || from.Before(first) {
-				wallFrom[a.Name] = from
-			}
-			if to.After(wallTo[a.Name]) {
-				wallTo[a.Name] = to
-			}
-			cpu[a.Name] += u.durs[i]
-		}
-		for _, d := range u.diags {
-			key := fmt.Sprintf("%s:%d:%d:%s:%s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-			if !seen[key] {
-				seen[key] = true
-				diags = append(diags, d)
+			for _, d := range found {
+				if !seen[d] {
+					seen[d] = true
+					diags = append(diags, d)
+				}
 			}
 		}
 	}
@@ -306,48 +231,7 @@ func RunTimed(moduleRoot string, patterns []string, cfg Config) ([]Diagnostic, [
 		}
 		return a.Message < b.Message
 	})
-	timings := make([]AnalyzerTiming, 0, len(analyzers))
-	for _, a := range analyzers {
-		timings = append(timings, AnalyzerTiming{
-			Analyzer:  a.Name,
-			WallNanos: wallTo[a.Name].Sub(wallFrom[a.Name]).Nanoseconds(),
-			CPUNanos:  cpu[a.Name].Nanoseconds(),
-		})
-	}
-	return diags, timings, nil
-}
-
-// runUnit loads one unit's package and runs the analyzer suite over it,
-// filling the unit's result fields.
-func runUnit(u *lintUnit, analyzers []*Analyzer) {
-	pkg, err := u.loader.load(u.path)
-	if err != nil {
-		u.err = err
-		return
-	}
-	supp := buildSuppressionIndex(u.loader.fset, pkg.Files)
-	u.starts = make([]time.Time, len(analyzers))
-	u.durs = make([]time.Duration, len(analyzers))
-	for i, a := range analyzers {
-		u.starts[i] = time.Now()
-		a.Run(&Pass{
-			Fset:     u.loader.fset,
-			Pkg:      pkg,
-			analyzer: a,
-			suppress: supp,
-			out:      &u.diags,
-		})
-		u.durs[i] = time.Since(u.starts[i])
-	}
-}
-
-func hasAnalyzer(name string) bool {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
+	return diags, nil
 }
 
 // resolvePatterns expands the command-line package patterns into module

@@ -14,7 +14,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package of the module under
@@ -36,36 +35,26 @@ type Package struct {
 	Info  *types.Info
 }
 
-// loader parses and type-checks module-local packages, resolving
-// module-internal imports from the source tree and everything else
-// through the stdlib source importer. It deliberately avoids any
-// external package-loading dependency: go/parser + go/types + go/build
-// (for file matching) are all it uses.
+// loader parses and type-checks module-local packages from source and
+// reads everything else from compiler export data. It deliberately
+// avoids any external package-loading dependency: go/parser + go/types
+// + go/build (for file matching) are all it uses. The gc importer finds
+// stdlib export data by running the toolchain's `go list -export`, so
+// the loader needs the go command of the toolchain that built it.
 //
-// The loader is safe for concurrent load calls: each import path is
-// type-checked exactly once behind a future, concurrent requests for an
-// in-flight path wait on it, and the stdlib source importer (which is
-// not thread-safe) is serialized behind its own mutex. token.FileSet is
-// already safe for concurrent AddFile/Position use.
+// A loader is used from one goroutine. Each module package is
+// type-checked once and memoized; loading holds the import paths
+// currently being checked, which is how module import cycles are
+// reported instead of recursing forever.
 type loader struct {
 	fset       *token.FileSet
 	moduleRoot string
 	modulePath string
 	ctx        build.Context
+	std        types.Importer
 
-	std   types.Importer
-	stdMu sync.Mutex
-
-	mu      sync.Mutex
-	futures map[string]*pkgFuture // keyed by import path
-}
-
-// pkgFuture is the single-flight slot for one package: the first
-// goroutine to request a path fills it, everyone else waits on done.
-type pkgFuture struct {
-	done chan struct{}
-	pkg  *Package
-	err  error
+	pkgs    map[string]*Package // keyed by import path
+	loading []string            // import chain being checked, outermost first
 }
 
 // newLoader builds a loader for the module. Extra build tags (e.g.
@@ -84,8 +73,8 @@ func newLoader(moduleRoot string, tags ...string) (*loader, error) {
 		moduleRoot: moduleRoot,
 		modulePath: modPath,
 		ctx:        ctx,
-		std:        importer.ForCompiler(fset, "source", nil),
-		futures:    make(map[string]*pkgFuture),
+		std:        importer.ForCompiler(fset, "gc", nil),
+		pkgs:       make(map[string]*Package),
 	}, nil
 }
 
@@ -108,76 +97,32 @@ func readModulePath(gomod string) (string, error) {
 }
 
 // Import implements types.Importer: module-local packages come from the
-// source tree, everything else from the stdlib source importer.
+// source tree, everything else from export data.
 func (l *loader) Import(path string) (*types.Package, error) {
-	return chainImporter{l: l}.Import(path)
-}
-
-// stdImport serializes the stdlib source importer, which keeps
-// unsynchronized internal caches.
-func (l *loader) stdImport(path string) (*types.Package, error) {
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
-	return l.std.Import(path)
-}
-
-// chainImporter is the importer handed to go/types while one package is
-// being checked. chain holds the import paths currently open on this
-// load chain, which is how cycles are detected: futures alone would
-// turn a cycle into a deadlock (the chain would wait on its own open
-// future), so the check must happen before waiting.
-type chainImporter struct {
-	l     *loader
-	chain map[string]bool
-}
-
-func (ci chainImporter) Import(path string) (*types.Package, error) {
-	l := ci.l
-	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
-		if ci.chain[path] {
-			return nil, fmt.Errorf("lint: import cycle through %q", path)
-		}
-		pkg, err := l.loadChain(ci.chain, path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
+	if path != l.modulePath && !strings.HasPrefix(path, l.modulePath+"/") {
+		return l.std.Import(path)
 	}
-	return l.stdImport(path)
+	pkg, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
 }
 
 // load parses and type-checks the module package with the given import
-// path, memoizing the result. Safe for concurrent use.
+// path, memoizing the result.
 func (l *loader) load(path string) (*Package, error) {
-	return l.loadChain(nil, path)
-}
-
-// loadChain is load with the caller's open-import chain threaded
-// through for cycle detection. Concurrent requests for the same path
-// coalesce onto one future; module imports form a DAG, so a waiter
-// always makes progress once cycles are ruled out by the chain check.
-func (l *loader) loadChain(chain map[string]bool, path string) (*Package, error) {
-	l.mu.Lock()
-	if fut, ok := l.futures[path]; ok {
-		l.mu.Unlock()
-		<-fut.done
-		return fut.pkg, fut.err
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
 	}
-	fut := &pkgFuture{done: make(chan struct{})}
-	l.futures[path] = fut
-	l.mu.Unlock()
-
-	fut.pkg, fut.err = l.loadUncached(chain, path)
-	close(fut.done)
-	return fut.pkg, fut.err
-}
-
-func (l *loader) loadUncached(chain map[string]bool, path string) (*Package, error) {
-	sub := make(map[string]bool, len(chain)+1)
-	for p := range chain {
-		sub[p] = true
+	for i, p := range l.loading {
+		if p == path {
+			cycle := append(append([]string{}, l.loading[i:]...), path)
+			return nil, fmt.Errorf("lint: import cycle: %s", strings.Join(cycle, " -> "))
+		}
 	}
-	sub[path] = true
+	l.loading = append(l.loading, path)
+	defer func() { l.loading = l.loading[:len(l.loading)-1] }()
 
 	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
 	dir := filepath.Join(l.moduleRoot, filepath.FromSlash(rel))
@@ -197,7 +142,7 @@ func (l *loader) loadUncached(chain map[string]bool, path string) (*Package, err
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: chainImporter{l: l, chain: sub},
+		Importer: l,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.fset, files, info)
@@ -205,14 +150,16 @@ func (l *loader) loadUncached(chain map[string]bool, path string) (*Package, err
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, typeErrs[0])
 	}
 
-	return &Package{
+	pkg := &Package{
 		Path:  path,
 		Rel:   rel,
 		Dir:   dir,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-	}, nil
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // parseDir parses the non-test Go files of dir that match the current

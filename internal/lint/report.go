@@ -1,19 +1,16 @@
 package lint
 
+import "path/filepath"
+
 // Report is the machine-readable form of one promolint run, emitted by
 // the -json flag and archived as a CI artifact. Paths are
 // module-relative so reports diff cleanly across checkouts.
 type Report struct {
 	// Analyzers names every analyzer that ran, in suite order.
 	Analyzers []string `json:"analyzers"`
-	// Findings are the diagnostics that survived allow annotations and
-	// the baseline, sorted by position.
+	// Findings are the diagnostics that survived allow annotations,
+	// sorted by position.
 	Findings []ReportFinding `json:"findings"`
-	// Stale lists baseline entries that matched no current finding.
-	Stale []BaselineEntry `json:"stale,omitempty"`
-	// Timings is the per-analyzer wall-clock cost of the run, in suite
-	// order (omitted when the caller did not collect timings).
-	Timings []AnalyzerTiming `json:"timings,omitempty"`
 }
 
 // ReportFinding is one finding in a Report.
@@ -26,16 +23,20 @@ type ReportFinding struct {
 	Message  string   `json:"message"`
 }
 
-// NewReport assembles a Report from a run's surviving diagnostics and
-// the stale baseline entries, relativizing paths against moduleRoot.
-func NewReport(moduleRoot string, analyzers []*Analyzer, diags []Diagnostic, stale []BaselineEntry) *Report {
-	r := &Report{Findings: []ReportFinding{}, Stale: stale}
+// NewReport assembles a Report from a run's surviving diagnostics,
+// relativizing paths against moduleRoot.
+func NewReport(moduleRoot string, analyzers []*Analyzer, diags []Diagnostic) *Report {
+	r := &Report{Findings: []ReportFinding{}}
 	for _, a := range analyzers {
 		r.Analyzers = append(r.Analyzers, a.Name)
 	}
 	for _, d := range diags {
+		file := filepath.ToSlash(d.Pos.Filename)
+		if rel, err := filepath.Rel(moduleRoot, d.Pos.Filename); err == nil {
+			file = filepath.ToSlash(rel)
+		}
 		r.Findings = append(r.Findings, ReportFinding{
-			File:     baselineRel(moduleRoot, d.Pos.Filename),
+			File:     file,
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,

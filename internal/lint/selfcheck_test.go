@@ -10,9 +10,6 @@ import (
 // any finding, making "promolint exits 0" part of the ordinary test
 // gate rather than a separate CI step people can forget.
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping whole-module lint in -short mode")
-	}
 	root, err := moduleRootFromWD()
 	if err != nil {
 		t.Fatal(err)

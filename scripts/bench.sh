@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the repo's tracked benchmark suites and record them as
 # diffable JSON in the repo root, so perf regressions are visible across
-# PRs. Two files are written:
+# PRs. These files are written:
 #
 #   BENCH_4.json  table-level, engine, and tracing-span benchmarks.
 #                 BenchmarkSpanDisabled is the disabled-tracing overhead
@@ -18,11 +18,6 @@
 #                 map/csr sub-benchmarks), plus the 10^6-node / 10^7-edge
 #                 scale demonstration BenchmarkCSRMillionSweep run once.
 #                 The acceptance bar is csr >= 2x map on the BFS sweep.
-#   BENCH_8.json  whole-repo promolint wall time, serial (-workers 1) vs
-#                 parallel (-workers nproc), findings verified
-#                 byte-identical first. The acceptance bar is >= 2x on
-#                 4+ cores; on smaller machines the speedup is recorded
-#                 but not meaningful.
 #   BENCH_9.json  the trace pipeline (DESIGN.md §14): BenchmarkSpanDisabled
 #                 re-run with the flight/runtime code in the tree (its
 #                 allocs_per_op must stay 0), the enabled span path with a
@@ -48,7 +43,7 @@
 #
 # Usage: scripts/bench.sh [count]
 #   count  -count passed to `go test` (default 3)
-#   BENCH_SECTIONS  comma list of suites to (re)run: any of 4,5,7,9,8,10
+#   BENCH_SECTIONS  comma list of suites to (re)run: any of 4,5,7,9,10
 #                   (default all) — e.g. BENCH_SECTIONS=10 scripts/bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -126,59 +121,6 @@ go test -run '^$' -bench 'BenchmarkSpanDisabled$|BenchmarkSpanEnabledRecorder$|B
 go test -run '^$' -bench 'BenchmarkEnginePooled$|BenchmarkEnginePooledFlight$' -benchmem -benchtime 2s -count "$COUNT" . | tee -a "$RAW"
 parse_bench < "$RAW" > BENCH_9.json
 echo "wrote BENCH_9.json"
-fi
-
-# BENCH_8: the parallel lint driver. A correctness precondition comes
-# first — the parallel findings must be byte-identical to the serial
-# reference — then the whole-repo wall time is measured for both worker
-# counts (best of COUNT runs each, to shave scheduler noise).
-if want 8; then
-go build -o "$RAW.promolint" ./cmd/promolint
-CORES="$(nproc)"
-"$RAW.promolint" -workers 1 ./... > "$RAW.serial" || true
-"$RAW.promolint" -workers "$CORES" ./... > "$RAW.parallel" || true
-if ! diff -u "$RAW.serial" "$RAW.parallel"; then
-    echo "BENCH_8 precondition failed: parallel findings differ from serial" >&2
-    rm -f "$RAW.promolint" "$RAW.serial" "$RAW.parallel"
-    exit 1
-fi
-
-lint_wall_ns() { # lint_wall_ns <workers>: best-of-COUNT wall time
-    local best=0 i start end wall
-    for ((i = 0; i < COUNT; i++)); do
-        start=$(date +%s%N)
-        "$RAW.promolint" -workers "$1" ./... > /dev/null || true
-        end=$(date +%s%N)
-        wall=$((end - start))
-        if ((best == 0 || wall < best)); then best=$wall; fi
-    done
-    echo "$best"
-}
-
-SERIAL_NS="$(lint_wall_ns 1)"
-PARALLEL_NS="$(lint_wall_ns "$CORES")"
-SPEEDUP="$(awk -v s="$SERIAL_NS" -v p="$PARALLEL_NS" 'BEGIN { printf "%.2f", s / p }')"
-cat > BENCH_8.json <<EOF
-{
-  "count": $COUNT,
-  "cores": $CORES,
-  "benchmarks": {
-    "PromolintWholeRepo/serial": {"wall_ns": $SERIAL_NS},
-    "PromolintWholeRepo/workers=$CORES": {"wall_ns": $PARALLEL_NS}
-  },
-  "speedup": $SPEEDUP
-}
-EOF
-rm -f "$RAW.promolint" "$RAW.serial" "$RAW.parallel"
-echo "wrote BENCH_8.json (speedup ${SPEEDUP}x on $CORES cores)"
-if ((CORES >= 4)); then
-    if awk -v s="$SPEEDUP" 'BEGIN { exit !(s + 0 >= 2.0) }'; then
-        echo "BENCH_8: speedup bar met (>= 2x on $CORES cores)"
-    else
-        echo "BENCH_8: parallel lint speedup ${SPEEDUP}x is below the 2x bar on $CORES cores" >&2
-        exit 1
-    fi
-fi
 fi
 
 # BENCH_10: the promod serving daemon. The sweep runs against an

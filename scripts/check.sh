@@ -31,35 +31,12 @@ step "promolint ./... (16-analyzer suite, findings saved to lint-findings.json)"
 # promodebug) and dedupes shared files. lint-findings.json is a per-run
 # artifact (gitignored), regenerated from scratch every time so stale
 # findings can never leak between runs; it is written even on failure
-# so CI can upload it, and a stale lint-baseline.json entry is itself a
-# failure.
+# so CI can upload it.
 rm -f lint-findings.json
-if ! go run ./cmd/promolint -json -baseline lint-baseline.json ./... > lint-findings.json; then
+if ! go run ./cmd/promolint -json ./... > lint-findings.json; then
     cat lint-findings.json >&2
     exit 1
 fi
-
-step "lint report sanity (16 analyzers timed, wall and cpu)"
-for field in wall_nanos cpu_nanos; do
-    timed=$(grep -c "\"$field\"" lint-findings.json || true)
-    if [[ "$timed" -ne 16 ]]; then
-        echo "lint-findings.json carries $timed per-analyzer $field timings, want 16" >&2
-        exit 1
-    fi
-done
-
-step "lint-parallel-determinism (workers 1 vs $(nproc), findings must be byte-identical)"
-# The parallel driver merges per-package findings in a fixed order, so
-# any worker count must reproduce the serial findings exactly. Compare
-# the plain-text reports (the JSON report embeds run-dependent
-# timings).
-go run ./cmd/promolint -workers 1 -baseline lint-baseline.json ./... > lint-serial.txt || true
-go run ./cmd/promolint -workers "$(nproc)" -baseline lint-baseline.json ./... > lint-parallel.txt || true
-if ! diff -u lint-serial.txt lint-parallel.txt; then
-    echo "parallel promolint findings differ from the serial reference" >&2
-    exit 1
-fi
-rm -f lint-serial.txt lint-parallel.txt
 
 step "hotpath-alloc runtime cross-check (BenchmarkSpanDisabled, 0 allocs/op)"
 # The static hotpath-alloc analyzer cannot see allocations hidden behind
@@ -97,10 +74,7 @@ if [[ "${1:-}" == "quick" ]]; then
 fi
 
 step "go test -race ./..."
-# internal/lint re-typechecks fixture modules per mutation; as the
-# module grows that pass alone runs well past the default 600s package
-# budget under the race detector (~750s at 100 files).
-go test -race -timeout 1800s ./...
+go test -race ./...
 
 step "go test -tags promodebug ./... (runtime invariant checks active)"
 go test -tags promodebug ./...
