@@ -31,8 +31,7 @@ type brandesScratch struct {
 	dist  []int32
 	sigma []float64 // number of shortest s-v paths
 	delta []float64 // dependency of s on v
-	queue []int32
-	order []int32   // nodes in non-decreasing distance from s
+	order []int32   // BFS queue, then nodes in non-decreasing distance from s
 	preds [][]int32 // shortest-path predecessors
 }
 
@@ -41,7 +40,6 @@ func newBrandesScratch(n int) *brandesScratch {
 		dist:  make([]int32, n),
 		sigma: make([]float64, n),
 		delta: make([]float64, n),
-		queue: make([]int32, 0, n),
 		order: make([]int32, 0, n),
 		preds: make([][]int32, n),
 	}
@@ -67,12 +65,12 @@ func (bs *brandesScratch) source(g graph.View, s int, acc []float64) {
 	}
 	bs.dist[s] = 0
 	bs.sigma[s] = 1
-	q := append(bs.queue[:0], int32(s)) //promolint:allow hotpath-alloc -- amortized: bs.queue is preallocated to n and reused across sources
-	order := bs.order[:0]
-	for len(q) > 0 {
-		v := q[0]
-		q = q[1:]
-		order = append(order, v) //promolint:allow hotpath-alloc -- amortized: bs.order reaches steady-state n capacity after the first source
+	// order doubles as the BFS queue: nodes are appended when first
+	// reached and dequeued by advancing head, so at the end it holds
+	// every reached node in non-decreasing distance from s.
+	order := append(bs.order[:0], int32(s)) //promolint:allow hotpath-alloc -- amortized: bs.order is preallocated to n and reused across sources
+	for head := 0; head < len(order); head++ {
+		v := order[head]
 		dv := bs.dist[v]
 		var row []int32
 		if rowptr != nil {
@@ -83,7 +81,7 @@ func (bs *brandesScratch) source(g graph.View, s int, acc []float64) {
 		for _, u := range row {
 			if bs.dist[u] == Unreachable {
 				bs.dist[u] = dv + 1
-				q = append(q, u) //promolint:allow hotpath-alloc -- amortized: at most n enqueues into the n-cap scratch queue
+				order = append(order, u) //promolint:allow hotpath-alloc -- amortized: at most n enqueues into the n-cap scratch order
 			}
 			if bs.dist[u] == dv+1 {
 				bs.sigma[u] += bs.sigma[v]
@@ -103,7 +101,6 @@ func (bs *brandesScratch) source(g graph.View, s int, acc []float64) {
 		}
 	}
 	bs.order = order[:0]
-	bs.queue = q[:0]
 }
 
 // sourceDep runs one source iteration from s on g augmented with the
@@ -117,6 +114,10 @@ func (bs *brandesScratch) source(g graph.View, s int, acc []float64) {
 // adjacency row, so the floating-point accumulation order can differ in
 // the last ulps from a run on a graph with the edge physically
 // inserted; integer-valued state (distances, path counts) is identical.
+//
+// The forward pass always runs to completion, so bs.dist holds every
+// distance from s afterwards; the backward pass runs only as deep as
+// δ_s(t) needs, so the rest of bs.delta is partial.
 func (bs *brandesScratch) sourceDep(g graph.View, s, t int, eu, ev int32) float64 {
 	n := g.N()
 	rowptr, cols := graph.ArcsOf(g)
@@ -128,12 +129,12 @@ func (bs *brandesScratch) sourceDep(g graph.View, s, t int, eu, ev int32) float6
 	}
 	bs.dist[s] = 0
 	bs.sigma[s] = 1
-	q := append(bs.queue[:0], int32(s)) //promolint:allow hotpath-alloc -- amortized: bs.queue is preallocated to n and reused across sources
-	order := bs.order[:0]
-	for len(q) > 0 {
-		v := q[0]
-		q = q[1:]
-		order = append(order, v) //promolint:allow hotpath-alloc -- amortized: bs.order reaches steady-state n capacity after the first source
+	// order doubles as the BFS queue: nodes are appended when first
+	// reached and dequeued by advancing head, so at the end it holds
+	// every reached node in non-decreasing distance from s.
+	order := append(bs.order[:0], int32(s)) //promolint:allow hotpath-alloc -- amortized: bs.order is preallocated to n and reused across sources
+	for head := 0; head < len(order); head++ {
+		v := order[head]
 		dv := bs.dist[v]
 		var row []int32
 		if rowptr != nil {
@@ -144,7 +145,7 @@ func (bs *brandesScratch) sourceDep(g graph.View, s, t int, eu, ev int32) float6
 		for _, u := range row {
 			if bs.dist[u] == Unreachable {
 				bs.dist[u] = dv + 1
-				q = append(q, u) //promolint:allow hotpath-alloc -- amortized: at most n enqueues into the n-cap scratch queue
+				order = append(order, u) //promolint:allow hotpath-alloc -- amortized: at most n enqueues into the n-cap scratch order
 			}
 			if bs.dist[u] == dv+1 {
 				bs.sigma[u] += bs.sigma[v]
@@ -160,7 +161,7 @@ func (bs *brandesScratch) sourceDep(g graph.View, s, t int, eu, ev int32) float6
 		if extra >= 0 {
 			if bs.dist[extra] == Unreachable {
 				bs.dist[extra] = dv + 1
-				q = append(q, extra) //promolint:allow hotpath-alloc -- amortized: at most n enqueues into the n-cap scratch queue
+				order = append(order, extra) //promolint:allow hotpath-alloc -- amortized: at most n enqueues into the n-cap scratch order
 			}
 			if bs.dist[extra] == dv+1 {
 				bs.sigma[extra] += bs.sigma[v]
@@ -168,20 +169,37 @@ func (bs *brandesScratch) sourceDep(g graph.View, s, t int, eu, ev int32) float6
 			}
 		}
 	}
-	for i := len(order) - 1; i >= 0; i-- {
+	bs.order = order[:0]
+	// δ_s(t) is a sum over t's successors in the shortest-path DAG, so
+	// it is 0 when t is s, unreachable, or has no neighbour one level
+	// deeper (the virtual edge counted).
+	dt := bs.dist[t]
+	if t == s || dt == Unreachable || !bs.hasSuccessor(g, int32(t), eu, ev) {
+		return 0
+	}
+	// Only nodes deeper than t contribute to δ_s(t), and they are
+	// visited first and in the same order as in a full backward pass,
+	// so stopping at t's level leaves δ_s(t) bitwise unchanged.
+	for i := len(order) - 1; i >= 0 && bs.dist[order[i]] > dt; i-- {
 		w := order[i]
 		coeff := (1 + bs.delta[w]) / bs.sigma[w]
 		for _, v := range bs.preds[w] {
 			bs.delta[v] += bs.sigma[v] * coeff
 		}
 	}
-	dep := bs.delta[t]
-	if t == s {
-		dep = 0
+	return bs.delta[t]
+}
+
+// hasSuccessor reports whether t, after a forward pass, has a
+// neighbour one level deeper, counting the virtual edge (eu, ev).
+func (bs *brandesScratch) hasSuccessor(g graph.View, t, eu, ev int32) bool {
+	next := bs.dist[t] + 1
+	for _, u := range g.Adjacency(int(t)) {
+		if bs.dist[u] == next {
+			return true
+		}
 	}
-	bs.order = order[:0]
-	bs.queue = q[:0]
-	return dep
+	return (t == eu && bs.dist[ev] == next) || (t == ev && bs.dist[eu] == next)
 }
 
 // Betweenness returns the betweenness centrality of every node

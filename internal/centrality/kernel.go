@@ -52,6 +52,12 @@ func (k *Kernel) Brandes(g graph.View, s int, acc []float64) {
 // score g unmodified. The virtual edge lets the engine's delta scorer
 // price a candidate edge without mutating the shared graph; the caller
 // must ensure (eu, ev) is not already an edge of g (or pass -1s).
+//
+// Only the part of the backward pass that δ_s(t) depends on runs: none
+// of it when t is unreachable or has no neighbour one level deeper than
+// itself, and otherwise only the levels below t. The result is bitwise
+// that of the full pass. The distances from s stay readable through
+// BrandesDist until the next run.
 func (k *Kernel) BrandesDep(g graph.View, s, t, eu, ev int) float64 {
 	n := g.N()
 	if k.br == nil || len(k.br.preds) < n {
@@ -59,6 +65,12 @@ func (k *Kernel) BrandesDep(g graph.View, s, t, eu, ev int) float64 {
 	}
 	return k.br.sourceDep(g, s, t, int32(eu), int32(ev))
 }
+
+// BrandesDist returns the distance vector (Unreachable for other
+// components) of the last Brandes or BrandesDep run, including the
+// virtual edge if that run had one. It is indexed by node id of that
+// run's graph and owned by the kernel: the next run overwrites it.
+func (k *Kernel) BrandesDist() []int32 { return k.br.dist }
 
 // Acc returns a zeroed accumulator of length n, reusing the kernel's
 // buffer. It is the per-worker partial-sum vector for Brandes runs; the

@@ -19,24 +19,28 @@
 //     patched in exact integer arithmetic, so the result is bitwise
 //     identical to a full recompute.
 //   - Betweenness uses restricted re-accumulation: one BFS from the
-//     candidate classifies every source s by whether its shortest-path
-//     DAG can change (it cannot when d(s, target) == d(s, v)); only
-//     affected sources re-run Brandes — against a *virtual* edge, so
-//     the shared graph stays untouched — while unaffected sources reuse
-//     the cached per-source dependency δ_s(target). When the affected
-//     set exceeds the configured fraction the candidate falls back to a
-//     full (virtual-edge) Brandes sweep; fallbacks are counted.
+//     candidate v sorts every source s into one of three classes by
+//     distances alone. When d(s, target) == d(s, v) its shortest-path
+//     DAG cannot change, so it reuses the cached dependency
+//     δ_s(target). When v is strictly closer and every old neighbour of
+//     the target is at most d(s, v)+1 from s, the target has no
+//     successor in the new DAG, so its new dependency is exactly 0 and
+//     the source is skipped. Every other source re-runs Brandes against
+//     a *virtual* edge, so the shared graph stays untouched.
 //
 // Candidates fan out over the engine's worker pool on the same
-// deterministic strided schedule as the score families; each output
-// slot is produced by exactly one worker with a fixed operation order,
-// so batch results are bitwise reproducible across engine instances and
-// worker counts.
+// deterministic strided schedule as the score families, with the width
+// sized by the work one candidate really costs (a BFS per candidate for
+// the BFS family, up to one Brandes run per source for betweenness).
+// Each output slot is produced by exactly one worker with a fixed
+// operation order, so batch results are bitwise reproducible across
+// engine instances and worker counts.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"promonet/internal/centrality"
@@ -48,32 +52,19 @@ import (
 // EvaluateEdgeBatch call.
 const spanDeltaBatch = "engine/delta/batch"
 
-// defaultDeltaFallbackFraction is the affected-source fraction above
-// which a betweenness candidate abandons restricted re-accumulation for
-// a full sweep; see WithDeltaFallbackFraction.
-const defaultDeltaFallbackFraction = 0.75
-
-// WithDeltaFallbackFraction tunes the betweenness delta scorer: a
-// candidate whose affected-source set exceeds frac·|sources| is scored
-// by a full Brandes sweep instead of restricted re-accumulation (the
-// restricted path would redo almost all the work anyway, while paying
-// the classification overhead on top). frac <= 0 forces every
-// betweenness candidate to the full path; frac >= 1 never falls back.
-// The default is 0.75.
-func WithDeltaFallbackFraction(frac float64) Option {
-	return func(e *Engine) { e.deltaFrac = frac }
-}
-
 // EvaluateEdgeBatch returns, for every candidate v in cands, the score
 // of target under measure m on the graph g + {(target, v)} — the value
 // Scores(g', m)[target] would report after AddEdge(target, v) — without
 // mutating g. Results for BFS-family measures (closeness, farness,
-// harmonic, eccentricity) are bitwise identical to the full recompute;
-// betweenness agrees within floating-point accumulation order (the
-// integer-valued path counts are identical). Candidates equal to the
-// target or already adjacent to it score the unmodified graph, matching
-// the no-op AddEdge semantics. Measures outside the delta scorer's
-// reach (coreness, degree, Katz) are priced by a per-candidate
+// harmonic, eccentricity) are bitwise identical to the full recompute.
+// Betweenness is bitwise the sum, in source order, of Kernel.BrandesDep
+// against the virtual edge over every source, which agrees with the
+// full recompute within floating-point accumulation order (the
+// integer-valued path counts are identical); sources whose dependency
+// is provably unchanged or provably 0 are not re-run. Candidates equal
+// to the target or already adjacent to it score the unmodified graph,
+// matching the no-op AddEdge semantics. Measures outside the delta
+// scorer's reach (coreness, degree, Katz) are priced by a per-candidate
 // clone-and-recompute and counted as fallbacks.
 //
 // The base structures are memoized per graph snapshot, so repeated
@@ -299,14 +290,40 @@ func (sc *deltaScratch) sweepScore(base *deltaSweepBase, m Measure) float64 {
 
 // deltaBCBase is the once-per-snapshot base for betweenness delta
 // scoring: the per-source dependencies of the target, the source set
-// they were computed over, and the distance vector from the target that
-// classifies candidate-affected sources.
+// they were computed over, the distance vector from the target, and the
+// per-source distance to the target's farthest neighbour, which
+// together classify every source for a candidate.
 type deltaBCBase struct {
 	dist    []int32   // d(target, ·) on g
 	sources []int     // all nodes, or the Brandes–Pich pivots
 	deps    []float64 // deps[i] = δ_{sources[i]}(target) on g
+	nbrFar  []int32   // nbrFar[i] = max over u ∈ N(target) of d(sources[i], u); see farthestNeighbour
 	total   float64   // Σ deps in source order (the unscaled base score)
 	scale   float64   // pivot scale n/k (1 when exact)
+}
+
+// Sentinels of deltaBCBase.nbrFar: farNoNeighbour (−∞) when the target
+// is isolated, farUnreachable (+∞) when some neighbour of the target is
+// not reachable from the source.
+const (
+	farNoNeighbour int32 = -1
+	farUnreachable int32 = math.MaxInt32
+)
+
+// farthestNeighbour returns max over u ∈ nbrs of dist[u], with the
+// nbrFar sentinels for an empty nbrs or an unreachable neighbour.
+func farthestNeighbour(dist []int32, nbrs []int32) int32 {
+	far := farNoNeighbour
+	for _, u := range nbrs {
+		d := dist[u]
+		if d == centrality.Unreachable {
+			return farUnreachable
+		}
+		if d > far {
+			far = d
+		}
+	}
+	return far
 }
 
 // deltaBCBaseFor resolves the betweenness base for (g, target) under
@@ -340,7 +357,9 @@ func (e *Engine) computeDeltaBCBase(g graph.View, target, sample int, seed int64
 	e.putKernel(k)
 	e.counters.bfsRuns.Add(1)
 
+	nbrs := g.Adjacency(target)
 	base.deps = make([]float64, len(base.sources))
+	base.nbrFar = make([]int32, len(base.sources))
 	w := e.span(len(base.sources), n+g.M())
 	e.forWorkers(w, func(worker int) {
 		kw := e.getKernel()
@@ -348,6 +367,7 @@ func (e *Engine) computeDeltaBCBase(g graph.View, target, sample int, seed int64
 		runs := uint64(0)
 		for i := worker; i < len(base.sources); i += w {
 			base.deps[i] = kw.BrandesDep(g, base.sources[i], target, -1, -1)
+			base.nbrFar[i] = farthestNeighbour(kw.BrandesDist(), nbrs)
 			runs++
 		}
 		e.counters.brandes.Add(runs)
@@ -358,9 +378,25 @@ func (e *Engine) computeDeltaBCBase(g graph.View, target, sample int, seed int64
 	return base
 }
 
+// bcBatchWidth is the parallel width of a betweenness batch: each
+// candidate costs up to one Brandes run per source, not one BFS.
+func (e *Engine) bcBatchWidth(g graph.View, cands, sources int) int {
+	return e.span(cands, sources*(g.N()+g.M()))
+}
+
 // deltaBatchBetweenness scores every candidate by restricted
-// re-accumulation against a virtual edge, with the counted fallback to
-// a full sweep when the affected-source set is too large.
+// re-accumulation against a virtual edge (target, v). For source s let
+// a = d(s, target) and b = d(s, v) on g (∞ when unreachable) and F_s the
+// base's nbrFar. Then
+//
+//   - a == b: the edge lies on no shortest path from s, and the cached
+//     δ_s(target) is reused;
+//   - b < a and F_s ≤ b+1: on g + (target, v), d′(s, target) = b+1 with
+//     v as a predecessor, and every old neighbour u has
+//     d′(s, u) = min(d(s, u), b+2) ≤ b+1, so the target has no successor
+//     in the shortest-path DAG of s and δ′_s(target) = 0: the source is
+//     skipped (re-running it would add +0.0, which changes no bit);
+//   - otherwise Brandes re-runs from s against the virtual edge.
 func (e *Engine) deltaBatchBetweenness(g graph.View, target int, cands []int, m Measure, out []float64) {
 	n := g.N()
 	sample := m.sample
@@ -372,53 +408,39 @@ func (e *Engine) deltaBatchBetweenness(g graph.View, target int, cands []int, m 
 	if m.counting == centrality.PairsUnordered {
 		scale /= 2
 	}
-	maxAff := int(e.deltaFrac * float64(len(base.sources)))
-	w := e.span(len(cands), n+g.M())
+	w := e.bcBatchWidth(g, len(cands), len(base.sources))
 	e.forWorkers(w, func(worker int) {
 		k := e.getKernel()
 		defer e.putKernel(k)
-		var bfsRuns, brRuns, hits, falls uint64
+		var bfsRuns, brRuns uint64
 		//promolint:hotpath
 		for i := worker; i < len(cands); i += w {
 			v := cands[i]
 			if v == target || g.HasEdge(target, v) {
 				out[i] = base.total * scale // no-op edge: the graph is unchanged
-				hits++
 				continue
 			}
 			dV, _, _ := k.BFS(g, v)
 			bfsRuns++
-			aff := 0
-			for _, s := range base.sources {
-				if base.dist[s] != dV[s] {
-					aff++
-				}
-			}
 			var sum float64
-			if aff > maxAff {
-				falls++
-				for _, s := range base.sources {
+			for idx, s := range base.sources {
+				a, b := base.dist[s], dV[s]
+				switch {
+				case a == b:
+					sum += base.deps[idx]
+				case b != centrality.Unreachable && (a == centrality.Unreachable || b < a) && base.nbrFar[idx] <= b+1:
+					// δ′_s(target) = 0
+				default:
 					sum += k.BrandesDep(g, s, target, target, v)
 					brRuns++
-				}
-			} else {
-				hits++
-				for idx, s := range base.sources {
-					if base.dist[s] != dV[s] {
-						sum += k.BrandesDep(g, s, target, target, v)
-						brRuns++
-					} else {
-						sum += base.deps[idx]
-					}
 				}
 			}
 			out[i] = sum * scale
 		}
 		e.counters.bfsRuns.Add(bfsRuns)
 		e.counters.brandes.Add(brRuns)
-		e.counters.deltaHits.Add(hits)
-		e.counters.deltaFallbacks.Add(falls)
 	})
+	e.counters.deltaHits.Add(uint64(len(cands)))
 }
 
 // --- Clone fallback for non-delta measures ---

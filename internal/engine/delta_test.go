@@ -9,6 +9,7 @@ import (
 	"promonet/internal/datasets"
 	"promonet/internal/gen"
 	"promonet/internal/graph"
+	"promonet/internal/graph/csr"
 )
 
 // Differential tests for the delta scorer: EvaluateEdgeBatch against
@@ -56,7 +57,7 @@ func fullEdgeScore(t *testing.T, e *Engine, g *graph.Graph, target, v int, m Mea
 // allCandidates lists every node except the target (neighbors and
 // non-neighbors alike: adjacent candidates must score the unchanged
 // graph, and including them exercises that path).
-func allCandidates(g *graph.Graph, target int) []int {
+func allCandidates(g graph.View, target int) []int {
 	var cands []int
 	for v := 0; v < g.N(); v++ {
 		if v != target {
@@ -191,8 +192,11 @@ func TestDeltaBatchDeterministicAcrossWorkers(t *testing.T) {
 		BetweennessSampled(centrality.PairsOrdered, 20, 42),
 	)
 	var ref [][]float64
-	for _, w := range []int{1, 2, 8} {
+	for _, w := range []int{1, 2, 3, 8} {
 		e := New(w)
+		if width := e.bcBatchWidth(g, len(cands), g.N()); w > 1 && width < 2 {
+			t.Fatalf("workers=%d: betweenness batch width %d, want the pool", w, width)
+		}
 		got := make([][]float64, len(measures))
 		for i, m := range measures {
 			got[i] = e.EvaluateEdgeBatch(g, target, cands, m)
@@ -237,38 +241,138 @@ func TestDeltaBatchSampledBetweenness(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbackForced drives every betweenness candidate down the
-// full-sweep fallback (fraction 0) and checks both correctness and the
-// fallback counter; the default engine must instead count delta hits.
-func TestDeltaFallbackForced(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := gen.ErdosRenyi(rng, 40, 100)
-	target := 3
-	cands := allCandidates(g, target)
-	m := Betweenness(centrality.PairsOrdered)
+// referenceBCBatch prices one betweenness candidate the long way: the
+// sum, in source order, of Kernel.BrandesDep against the virtual edge
+// (target, v) over every source of the measure (all nodes, or the same
+// pivot draw the engine makes), with no source skipped or reused.
+func referenceBCBatch(g graph.View, target int, cands []int, m Measure) []float64 {
+	n := g.N()
+	sources := make([]int, n)
+	for i := range sources {
+		sources[i] = i
+	}
+	scale := 1.0
+	if m.sample > 0 && m.sample < n {
+		sources = rand.New(rand.NewSource(m.seed)).Perm(n)[:m.sample]
+		scale = float64(n) / float64(m.sample)
+	}
+	if m.counting == centrality.PairsUnordered {
+		scale /= 2
+	}
+	k := centrality.NewKernel()
+	out := make([]float64, len(cands))
+	for i, v := range cands {
+		eu, ev := target, v
+		if v == target || g.HasEdge(target, v) {
+			eu, ev = -1, -1
+		}
+		var sum float64
+		for _, s := range sources {
+			sum += k.BrandesDep(g, s, target, eu, ev)
+		}
+		out[i] = sum * scale
+	}
+	return out
+}
 
-	forced := New(2, WithDeltaFallbackFraction(0))
-	defer forced.Close()
-	normal := New(2)
-	defer normal.Close()
-
-	got := forced.EvaluateEdgeBatch(g, target, cands, m)
-	ref := normal.EvaluateEdgeBatch(g, target, cands, m)
-	for i := range cands {
-		if got[i] != ref[i] {
-			t.Fatalf("cand %d: forced-fallback %v != restricted %v", cands[i], got[i], ref[i])
+// TestDeltaBatchBetweennessExact checks that reusing unchanged
+// dependencies and skipping the sources whose new dependency is
+// provably 0 changes no bit: the batch must equal referenceBCBatch
+// exactly, on every backend, for structurally extreme targets and
+// candidates, exact and pivot-sampled.
+func TestDeltaBatchBetweennessExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tri := gen.BarabasiAlbert(rng, 60, 2)
+	gen.TriadicClosure(rng, tri, 60)
+	disc := gen.ErdosRenyi(rng, 40, 70)
+	first := disc.AddNodes(10)
+	for i := 0; i < 9; i++ {
+		disc.AddEdge(first+i, first+i+1)
+	}
+	disc.AddNodes(2)
+	hosts := map[string]*graph.Graph{
+		"ba":           gen.BarabasiAlbert(rng, 60, 3),
+		"triadic-ba":   tri,
+		"disconnected": disc,
+	}
+	e := New(2)
+	defer e.Close()
+	for name, h := range hosts {
+		n := h.N()
+		single := h.AddNode() // a singleton target
+		hub, minDeg := 0, 0
+		for v := 0; v < n; v++ {
+			if h.Degree(v) > h.Degree(hub) {
+				hub = v
+			}
+			if h.Degree(v) > 0 && (h.Degree(minDeg) == 0 || h.Degree(v) < h.Degree(minDeg)) {
+				minDeg = v // a degree-k target: the lowest degree present
+			}
+		}
+		views := map[string]graph.View{"graph": h, "snapshot": csr.Freeze(h)}
+		o := csr.NewOverlay(csr.Freeze(h))
+		o.AddEdge(hub, single-1)
+		views["overlay"] = o
+		for vname, g := range views {
+			for _, target := range []int{single, hub, minDeg, 3} {
+				cands := allCandidates(g, target)
+				for _, m := range []Measure{
+					Betweenness(centrality.PairsOrdered),
+					Betweenness(centrality.PairsUnordered),
+					BetweennessSampled(centrality.PairsOrdered, 12, 5),
+				} {
+					if m.sample > 0 {
+						// Put a pivot first among the candidates, so some
+						// candidate is also a source.
+						pivot := rand.New(rand.NewSource(m.seed)).Perm(g.N())[0]
+						if pivot != target {
+							cands = append([]int{pivot}, cands...)
+						}
+					}
+					got := e.EvaluateEdgeBatch(g, target, cands, m)
+					want := referenceBCBatch(g, target, cands, m)
+					for i, v := range cands {
+						if got[i] != want[i] {
+							t.Fatalf("%s/%s %s target %d cand %d: batch %v, reference %v",
+								name, vname, m, target, v, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
-	fs := forced.Stats()
-	if fs.DeltaFallbacks == 0 {
-		t.Fatalf("forced engine recorded no delta fallbacks: %+v", fs)
+}
+
+// TestDeltaBatchSkipsZeroDependencies checks that the zero-dependency
+// class fires: on a scale-free host, pricing every candidate must run
+// fewer Brandes sources than the sources the reuse rule alone would
+// re-run.
+func TestDeltaBatchSkipsZeroDependencies(t *testing.T) {
+	g := gen.BarabasiAlbert(rand.New(rand.NewSource(29)), 80, 3)
+	target := 40
+	cands := allCandidates(g, target)
+	e := New(1)
+	defer e.Close()
+	m := Betweenness(centrality.PairsOrdered)
+	base := e.deltaBCBaseFor(g, target, 0, m.seed)
+	k := centrality.NewKernel()
+	affected := uint64(0)
+	for _, v := range cands {
+		if g.HasEdge(target, v) {
+			continue
+		}
+		dV, _, _ := k.BFS(g, v)
+		for _, s := range base.sources {
+			if base.dist[s] != dV[s] {
+				affected++
+			}
+		}
 	}
-	ns := normal.Stats()
-	if ns.DeltaHits == 0 {
-		t.Fatalf("normal engine recorded no delta hits: %+v", ns)
-	}
-	if ns.DeltaFallbacks >= uint64(len(cands)) {
-		t.Fatalf("normal engine fell back on every candidate (%d/%d)", ns.DeltaFallbacks, len(cands))
+	before := e.Stats()
+	e.EvaluateEdgeBatch(g, target, cands, m)
+	runs := e.Stats().Delta(before).BrandesRuns
+	if runs == 0 || runs >= affected {
+		t.Fatalf("batch ran %d Brandes sources, want fewer than the %d affected ones and more than 0", runs, affected)
 	}
 }
 

@@ -48,10 +48,9 @@ import (
 // concurrent use; Close is the only exception and must not race with
 // in-flight scoring.
 type Engine struct {
-	workers   int
-	cacheCap  int
-	hashCap   int
-	deltaFrac float64 // betweenness delta fallback threshold; see WithDeltaFallbackFraction
+	workers  int
+	cacheCap int
+	hashCap  int
 
 	registry  *obs.Registry
 	regPrefix string
@@ -97,7 +96,7 @@ func New(workers int, opts ...Option) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, cacheCap: 256, deltaFrac: defaultDeltaFallbackFraction}
+	e := &Engine{workers: workers, cacheCap: 256}
 	for _, o := range opts {
 		o(e)
 	}

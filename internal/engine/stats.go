@@ -26,9 +26,9 @@ type counters struct {
 	brandes   *obs.Counter
 
 	// deltaHits counts candidate edges priced through the incremental
-	// delta path; deltaFallbacks counts candidates that had to fall back
-	// to a full recomputation (affected set too large, or a measure the
-	// delta scorer cannot price incrementally).
+	// delta path; deltaFallbacks counts candidates of the measures the
+	// delta scorer cannot price incrementally (coreness, degree, Katz),
+	// which are priced on a mutated clone.
 	deltaHits      *obs.Counter
 	deltaFallbacks *obs.Counter
 
@@ -88,7 +88,7 @@ type Stats struct {
 	BFSRuns, BrandesRuns uint64
 	// DeltaHits counts candidate edges priced through the incremental
 	// delta path of EvaluateEdgeBatch; DeltaFallbacks counts candidates
-	// that fell back to a full recomputation.
+	// priced by a clone-and-recompute (coreness, degree, Katz).
 	DeltaHits, DeltaFallbacks uint64
 	// PerFamily breaks down computed (cache-missed) work by compute
 	// family, sorted by family name.

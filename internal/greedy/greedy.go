@@ -68,8 +68,10 @@ type Result struct {
 //
 // Candidate pricing goes through the engine's incremental delta scorer
 // (engine.EvaluateEdgeBatch): the base Brandes structures are computed
-// once per round and each candidate is priced by restricted
-// re-accumulation over the sources its edge can actually affect. The
+// once per round, and each candidate re-runs Brandes only from the
+// sources whose dependency on the target its edge can change to a
+// nonzero value; the candidates of a round are priced in parallel on
+// the engine's pool, bitwise as a sequential run would price them. The
 // pivot-sampled path (PivotSources > 0) keeps the classic
 // mutate-score-revert loop, because its per-probe pivot resample must
 // draw from the caller's advancing Options.Rand.

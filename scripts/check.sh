@@ -60,6 +60,12 @@ step "promod snapshot-swap and pinned-state race suite (go test -race)"
 # seconds).
 go test -race -run 'TestConcurrentSnapshotSwap|TestRankIndexSurvivesCacheChurn|TestServingStateFreshAfterReload' ./internal/promod
 
+step "delta-batch worker-pool race suite (go test -race)"
+# Betweenness candidate batches fan out over the engine's worker pool
+# even on small hosts, and each worker shares the memoized base with the
+# others; run the delta suite under the race detector in quick mode too.
+go test -race -run 'TestDeltaBatch' ./internal/engine
+
 step "benchmark module tests (cd bench && go test ./...)"
 # bench/ is a module of its own, so the root go test never reaches it.
 # Its toy-scale end-to-end runs validate every promod answer, so a
